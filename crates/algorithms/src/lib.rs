@@ -22,6 +22,11 @@
 //! | [`als`] | alternating least squares | bipartite rating graph |
 //! | [`bp`] | loopy belief propagation | undirected expansion |
 //! | [`hyperanf`] | HyperANF neighbourhood function / diameter | undirected expansion |
+//!
+//! [`table`] is the one place that wires algorithms to engines: one
+//! row per `xstream run` algorithm (name, input expansion, degree
+//! need, program, driver, typed answer), run through an engine source
+//! for either engine. `xstream run` and `xstream serve` both use it.
 
 pub mod als;
 pub mod bfs;
@@ -36,5 +41,6 @@ pub mod pagerank_delta;
 pub mod scc;
 pub mod spmv;
 pub mod sssp;
+pub mod table;
 pub mod util;
 pub mod wcc;

@@ -158,14 +158,14 @@ pub fn run_in_memory(algo: Algo, graph: &EdgeList, cfg: EngineConfig) -> RunStat
             let p = conductance::Conductance;
             let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
             let (_, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            one_iteration_stats(it)
+            RunStats::from(it)
         }
         Algo::Spmv => {
             let p = spmv::Spmv;
             let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
             let x = vec![1.0f32; graph.num_vertices()];
             let (_, it) = spmv::run(&mut e, &p, &x);
-            one_iteration_stats(it)
+            RunStats::from(it)
         }
         Algo::Pagerank => {
             let p = pagerank::Pagerank;
@@ -225,14 +225,14 @@ pub fn run_out_of_core(
             let p = conductance::Conductance;
             let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
             let (_, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            finish(e, one_iteration_stats(it), tag)
+            finish(e, RunStats::from(it), tag)
         }
         Algo::Spmv => {
             let p = spmv::Spmv;
             let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
             let x = vec![1.0f32; graph.num_vertices()];
             let (_, it) = spmv::run(&mut e, &p, &x);
-            finish(e, one_iteration_stats(it), tag)
+            finish(e, RunStats::from(it), tag)
         }
         Algo::Pagerank => {
             let p = pagerank::Pagerank;
@@ -261,14 +261,6 @@ fn finish<P: xstream_core::EdgeProgram>(
     drop(engine);
     cleanup(tag);
     (stats, modeled)
-}
-
-fn one_iteration_stats(it: xstream_core::IterationStats) -> RunStats {
-    let total_ns = it.total_ns();
-    RunStats {
-        iterations: vec![it],
-        total_ns,
-    }
 }
 
 fn bp_seeds(n: usize) -> Vec<(u32, usize)> {

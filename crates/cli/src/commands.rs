@@ -4,15 +4,11 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::args::{Args, CliError};
-use xstream_algorithms::{
-    bfs, conductance, mcst, mis, pagerank, pagerank_delta, scc, spmv, sssp, wcc,
-};
+use xstream_algorithms::table::{self, Answer, DiskSource, EngineSource, MemorySource, Params};
 use xstream_core::{DeviceMap, EngineConfig, PinMode, RetryPolicy, RunStats};
-use xstream_disk::{DiskEngine, EdgeIngest};
 use xstream_graph::fileio::{read_edge_file, write_edge_file, EdgeFileReader};
 use xstream_graph::import::{ImportFormat, ImportOptions};
-use xstream_graph::{generators, transform, EdgeList, Rmat};
-use xstream_memory::InMemoryEngine;
+use xstream_graph::{generators, transform, Rmat};
 use xstream_storage::StreamStore;
 use xstream_streams::{semi, wstream, FileSource, Mirrored};
 
@@ -593,8 +589,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let algo = args.require_positional(0, "algorithm")?.to_string();
     let path = args.require_positional(1, "edge file")?.to_string();
     let engine_kind = args.get("engine").unwrap_or("mem");
-    let iterations = args.get_usize("iterations")?.unwrap_or(5);
-    let eps = epsilon(args)?;
     let resume = args.switch("resume");
     // Declared on the engine config too, so the disk engine validates
     // the layout flags against the store's manifest *before* the
@@ -618,38 +612,46 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
     }
 
+    // Checked before the input is read or a --store directory wiped.
+    if table::find::<DiskSource>(&algo).is_none() {
+        return Err(CliError::Usage(format!("unknown algorithm `{algo}`")));
+    }
+    let mut params = Params {
+        iterations: args.get_usize("iterations")?.unwrap_or(5),
+        epsilon: epsilon(args)?,
+        ..Params::default()
+    };
     match engine_kind {
         "mem" => {
             let graph = read_edge_file(Path::new(&path))?;
-            let root = validated_root(args, &algo, graph.num_vertices())?;
-            run_in_memory(&algo, &graph, cfg, root, iterations, eps)
+            params.root = validated_root(args, &algo, graph.num_vertices())?;
+            let (answer, stats) = run_row(&algo, &mut MemorySource::new(graph, cfg), &params)?;
+            Ok(summarize(&algo, &answer.to_string(), &stats))
         }
         "disk" => {
-            // Header-only peek: the vertex count for root validation
-            // and vertex-state sizing. The edge payload itself is
-            // streamed by the engine — never materialized (§3).
+            // Header-only peek: the vertex count for root validation.
+            // The edge payload itself is streamed by the engine — never
+            // materialized (§3).
             let num_vertices = EdgeFileReader::open(Path::new(&path))?.num_vertices();
-            let root = validated_root(args, &algo, num_vertices)?;
+            params.root = validated_root(args, &algo, num_vertices)?;
+            // Dropped last: removes the default temp store, keeps --store.
             let dir = prepare_store_dir(args)?;
-            let mut store = StreamStore::new(dir.path(), cfg.io_unit)?;
-            if let Some(map) = cfg.device_map {
-                // Fig. 15 layout: the engine stripes one reader and one
-                // writer thread per declared device.
-                store = store.with_device_fn(map.num_devices(), move |name| map.device_of(name));
-            }
-            let out = run_on_disk(
-                &algo,
-                Path::new(&path),
-                num_vertices,
-                store,
-                cfg,
-                root,
-                iterations,
-                eps,
-                resume,
-            );
-            drop(dir); // Removes the default temp store; keeps --store.
-            out
+            let store = StreamStore::new(dir.path(), cfg.io_unit)?;
+            let io = std::sync::Arc::clone(store.accounting());
+            let mut source = DiskSource::new(&path, store, cfg);
+            let (answer, stats) = run_row(&algo, &mut source, &params)?;
+            let pre = match (resume, source.resumed()) {
+                (false, _) => String::new(),
+                (true, Some(step)) => format!("resumed from checkpoint after superstep {step}\n"),
+                (true, None) => "no valid checkpoint in store; starting fresh\n".to_string(),
+            };
+            let io = io.snapshot();
+            Ok(format!(
+                "{pre}{}io: {:.1} MB read, {:.1} MB written\n",
+                summarize(&algo, &answer.to_string(), &stats),
+                io.bytes_read() as f64 / 1e6,
+                io.bytes_written() as f64 / 1e6,
+            ))
         }
         other => Err(CliError::Usage(format!(
             "--engine must be mem or disk, got `{other}`"
@@ -657,360 +659,14 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 }
 
-fn run_in_memory(
+/// Runs the table row named `algo` on an engine built by `source`.
+fn run_row<S: EngineSource>(
     algo: &str,
-    graph: &EdgeList,
-    cfg: EngineConfig,
-    root: u32,
-    iterations: usize,
-    eps: f32,
-) -> Result<String, CliError> {
-    match algo {
-        "wcc" => {
-            let und = graph.to_undirected();
-            let p = wcc::Wcc::new();
-            let mut e = InMemoryEngine::from_graph(&und, &p, cfg);
-            let (labels, stats) = wcc::run(&mut e, &p);
-            Ok(summarize(
-                algo,
-                &format!("{} components", wcc::count_components(&labels)),
-                &stats,
-            ))
-        }
-        "bfs" => {
-            let p = bfs::Bfs::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (levels, stats) = bfs::run(&mut e, &p, root);
-            let reached = levels.iter().filter(|&&l| l != bfs::UNREACHED).count();
-            Ok(summarize(
-                algo,
-                &format!("{reached} vertices reached"),
-                &stats,
-            ))
-        }
-        "sssp" => {
-            let p = sssp::Sssp::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (dist, stats) = sssp::run(&mut e, &p, root);
-            let reached = dist.iter().filter(|d| d.is_finite()).count();
-            Ok(summarize(
-                algo,
-                &format!("{reached} vertices reachable"),
-                &stats,
-            ))
-        }
-        "pagerank" => {
-            let p = pagerank::Pagerank;
-            let degrees = graph.out_degrees();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (ranks, stats) = pagerank::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(summarize(algo, &top, &stats))
-        }
-        "pagerank-delta" => {
-            let p = pagerank_delta::PagerankDelta::new(eps);
-            let degrees = graph.out_degrees();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (ranks, stats) = pagerank_delta::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(summarize(algo, &top, &stats))
-        }
-        "spmv" => {
-            let p = spmv::Spmv;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let x = vec![1.0f32; graph.num_vertices()];
-            let (y, it) = spmv::run(&mut e, &p, &x);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            let norm: f64 = y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
-            Ok(summarize(algo, &format!("|y|^2 = {norm:.3}"), &stats))
-        }
-        "mis" => {
-            let und = graph.to_undirected();
-            let p = mis::Mis::new();
-            let mut e = InMemoryEngine::from_graph(&und, &p, cfg);
-            let (statuses, stats) = mis::run(&mut e, &p);
-            let members = statuses
-                .iter()
-                .filter(|&&s| s == mis::status::IN_SET)
-                .count();
-            Ok(summarize(algo, &format!("{members} members"), &stats))
-        }
-        "scc" => {
-            let bidir = graph.to_bidirectional();
-            let p = scc::Scc::new();
-            let mut e = InMemoryEngine::from_graph(&bidir, &p, cfg);
-            let (ids, stats) = scc::run(&mut e, &p);
-            let mut distinct = ids.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            Ok(summarize(
-                algo,
-                &format!("{} strongly connected components", distinct.len()),
-                &stats,
-            ))
-        }
-        "mcst" => {
-            let und = graph.to_undirected();
-            let p = mcst::Mcst;
-            let mut e = InMemoryEngine::from_graph(&und, &p, cfg);
-            let (result, stats) = mcst::run(&mut e, &p);
-            Ok(summarize(
-                algo,
-                &format!(
-                    "forest weight {:.3} over {} trees",
-                    result.total_weight, result.components
-                ),
-                &stats,
-            ))
-        }
-        "conductance" => {
-            let p = conductance::Conductance;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (r, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            Ok(summarize(
-                algo,
-                &format!("cut {} / volumes {} : {}", r.cut, r.vol0, r.vol1),
-                &stats,
-            ))
-        }
-        other => Err(CliError::Usage(format!("unknown algorithm `{other}`"))),
-    }
-}
-
-/// Applies `--resume` before a disk-engine run: restores the newest
-/// valid checkpoint (both slots are CRC- and fingerprint-validated)
-/// and returns a status line to prepend to the command output. A
-/// missing or invalid checkpoint is not an error — the run simply
-/// starts fresh and says so.
-fn maybe_resume<P: xstream_core::EdgeProgram>(
-    e: &mut DiskEngine<P>,
-    resume: bool,
-) -> Result<String, CliError> {
-    if !resume {
-        return Ok(String::new());
-    }
-    Ok(match e.resume_from_checkpoint()? {
-        Some(step) => format!("resumed from checkpoint after superstep {step}\n"),
-        None => "no valid checkpoint in store; starting fresh\n".to_string(),
-    })
-}
-
-/// Runs an algorithm on the out-of-core engine. Every arm builds its
-/// engine from a path-based [`EdgeIngest`] descriptor — the file is
-/// streamed into the partition shuffle with any undirected or
-/// bidirectional doubling applied per chunk (§3.2 pre-processing), so
-/// the full `EdgeList` is never constructed. The only vertex-indexed
-/// allocations are the O(V) arrays §3.1 budgets to memory (degrees for
-/// PageRank, the SpMV input vector).
-// One flag per paper knob; bundling them into a struct would only move
-// the argument list into a literal at the lone call site.
-#[allow(clippy::too_many_arguments)]
-fn run_on_disk(
-    algo: &str,
-    input: &Path,
-    num_vertices: usize,
-    store: StreamStore,
-    cfg: EngineConfig,
-    root: u32,
-    iterations: usize,
-    eps: f32,
-    resume: bool,
-) -> Result<String, CliError> {
-    match algo {
-        "wcc" => {
-            let p = wcc::Wcc::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::undirected(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (labels, stats) = wcc::run(&mut e, &p);
-            let io = e.store().accounting().snapshot();
-            Ok(format!(
-                "{pre}{}io: {:.1} MB read, {:.1} MB written\n",
-                summarize(
-                    algo,
-                    &format!("{} components", wcc::count_components(&labels)),
-                    &stats
-                ),
-                io.bytes_read() as f64 / 1e6,
-                io.bytes_written() as f64 / 1e6,
-            ))
-        }
-        "bfs" => {
-            let p = bfs::Bfs::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (levels, stats) = bfs::run(&mut e, &p, root);
-            let reached = levels.iter().filter(|&&l| l != bfs::UNREACHED).count();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("{reached} vertices reached"), &stats)
-            ))
-        }
-        "pagerank" => {
-            let p = pagerank::Pagerank;
-            // The O(V) out-degree counts fold into the ingest pass via
-            // the per-chunk observer — one streaming read of the edge
-            // file instead of the former separate degree scan + ingest
-            // double read.
-            let degrees = std::sync::Arc::new(std::sync::Mutex::new(vec![0u32; num_vertices]));
-            let ingest = {
-                let degrees = std::sync::Arc::clone(&degrees);
-                EdgeIngest::new(input).with_observer(move |chunk| {
-                    let mut d = degrees.lock().expect("degree counter poisoned");
-                    for e in chunk {
-                        d[e.src as usize] += 1;
-                    }
-                })
-            };
-            let mut e = DiskEngine::from_ingest(store, &ingest, &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let degrees = std::mem::take(&mut *degrees.lock().expect("degree counter poisoned"));
-            let (ranks, stats) = pagerank::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(format!("{pre}{}", summarize(algo, &top, &stats)))
-        }
-        "pagerank-delta" => {
-            let p = pagerank_delta::PagerankDelta::new(eps);
-            // Same one-pass degree fold as pagerank: the O(V) counts
-            // ride along the ingest observer.
-            let degrees = std::sync::Arc::new(std::sync::Mutex::new(vec![0u32; num_vertices]));
-            let ingest = {
-                let degrees = std::sync::Arc::clone(&degrees);
-                EdgeIngest::new(input).with_observer(move |chunk| {
-                    let mut d = degrees.lock().expect("degree counter poisoned");
-                    for e in chunk {
-                        d[e.src as usize] += 1;
-                    }
-                })
-            };
-            let mut e = DiskEngine::from_ingest(store, &ingest, &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let degrees = std::mem::take(&mut *degrees.lock().expect("degree counter poisoned"));
-            let (ranks, stats) = pagerank_delta::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(format!("{pre}{}", summarize(algo, &top, &stats)))
-        }
-        "sssp" => {
-            let p = sssp::Sssp::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (dist, stats) = sssp::run(&mut e, &p, root);
-            let reached = dist.iter().filter(|d| d.is_finite()).count();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("{reached} vertices reachable"), &stats)
-            ))
-        }
-        "mis" => {
-            let p = mis::Mis::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::undirected(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (statuses, stats) = mis::run(&mut e, &p);
-            let members = statuses
-                .iter()
-                .filter(|&&s| s == mis::status::IN_SET)
-                .count();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("{members} members"), &stats)
-            ))
-        }
-        "scc" => {
-            let p = scc::Scc::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::bidirectional(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (ids, stats) = scc::run(&mut e, &p);
-            let mut distinct = ids.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            Ok(format!(
-                "{pre}{}",
-                summarize(
-                    algo,
-                    &format!("{} strongly connected components", distinct.len()),
-                    &stats
-                )
-            ))
-        }
-        "mcst" => {
-            let p = mcst::Mcst;
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::undirected(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (result, stats) = mcst::run(&mut e, &p);
-            Ok(format!(
-                "{pre}{}",
-                summarize(
-                    algo,
-                    &format!(
-                        "forest weight {:.3} over {} trees",
-                        result.total_weight, result.components
-                    ),
-                    &stats
-                )
-            ))
-        }
-        "spmv" => {
-            let p = spmv::Spmv;
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let x = vec![1.0f32; num_vertices];
-            let (y, it) = spmv::run(&mut e, &p, &x);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            let norm: f64 = y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("|y|^2 = {norm:.3}"), &stats)
-            ))
-        }
-        "conductance" => {
-            let p = conductance::Conductance;
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (r, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            Ok(format!(
-                "{pre}{}",
-                summarize(
-                    algo,
-                    &format!("cut {} / volumes {} : {}", r.cut, r.vol0, r.vol1),
-                    &stats
-                )
-            ))
-        }
-        other => Err(CliError::Usage(format!("unknown algorithm `{other}`"))),
-    }
+    source: &mut S,
+    params: &Params,
+) -> Result<(Answer, RunStats), CliError> {
+    let row = table::find::<S>(algo).expect("algorithm name checked in run");
+    Ok(row.run(source, params)?)
 }
 
 // ------------------------------------------------------------------- serve
@@ -1335,40 +991,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_engine_run_reports_io() {
-        let path = tmpfile("disk.edges");
-        dispatch(&sv(&[
-            "generate",
-            "erdos-renyi",
-            "--vertices",
-            "500",
-            "--edges",
-            "3000",
-            "--undirected",
-            "-o",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let store = std::env::temp_dir().join("xstream_cli_tests_store");
-        let out = dispatch(&sv(&[
-            "run",
-            "wcc",
-            path.to_str().unwrap(),
-            "--engine",
-            "disk",
-            "--memory-budget",
-            "1M",
-            "--io-unit",
-            "16K",
-            "--store",
-            store.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("MB read"), "{out}");
-        let _ = std::fs::remove_dir_all(&store);
-    }
-
-    #[test]
     fn every_algorithm_runs_on_both_engines() {
         let path = tmpfile("allalgos.edges");
         dispatch(&sv(&[
@@ -1383,19 +1005,16 @@ mod tests {
             path.to_str().unwrap(),
         ]))
         .unwrap();
-        for algo in [
-            "wcc",
-            "bfs",
-            "sssp",
-            "pagerank",
-            "pagerank-delta",
-            "spmv",
-            "mis",
-            "scc",
-            "mcst",
-            "conductance",
-        ] {
-            for engine in ["mem", "disk"] {
+        // The numbers of the summary line `<algo>: <answer>`.
+        let answer = |out: &str| -> Vec<String> {
+            let line = out.lines().next().unwrap_or_default();
+            line.split(|c: char| !c.is_ascii_digit() && c != '.')
+                .filter(|t| t.parse::<f64>().is_ok())
+                .map(str::to_string)
+                .collect()
+        };
+        for algo in table::algorithms::<DiskSource>().map(|a| a.name) {
+            let [mem, disk] = ["mem", "disk"].map(|engine| {
                 let store =
                     std::env::temp_dir().join(format!("xstream_cli_allalgos_{algo}_{engine}"));
                 let out = dispatch(&sv(&[
@@ -1414,6 +1033,26 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{algo} on {engine}: {e}"));
                 assert!(out.contains("iterations"), "{algo}/{engine}: {out}");
                 let _ = std::fs::remove_dir_all(&store);
+                out
+            });
+            assert!(
+                disk.lines()
+                    .any(|l| l.starts_with("io: ") && l.contains("MB read")),
+                "{algo}: no io line on the disk engine\n{disk}"
+            );
+            // The typed answers agree across engines: integers exactly,
+            // floats within 1e-4 relative.
+            let (a, b) = (answer(&mem), answer(&disk));
+            assert_eq!(a.len(), b.len(), "{algo}: {mem} vs {disk}");
+            assert!(!a.is_empty(), "{algo}: no answer in {mem}");
+            for (x, y) in a.iter().zip(&b) {
+                let agree = if x.contains('.') {
+                    let (x, y) = (x.parse::<f64>().unwrap(), y.parse::<f64>().unwrap());
+                    (x - y).abs() <= 1e-4 * x.abs().max(y.abs())
+                } else {
+                    x == y
+                };
+                assert!(agree, "{algo}: {x} vs {y}\nmem:  {mem}\ndisk: {disk}");
             }
         }
     }
@@ -1909,6 +1548,20 @@ mod tests {
         std::fs::remove_file(precious.join("thesis.tex")).unwrap();
         run(&precious).unwrap();
         assert!(precious.join(STORE_MARKER).is_file());
+        // A mistyped algorithm is refused before the marked store is
+        // wiped.
+        let store = precious.to_str().unwrap();
+        let err = dispatch(&sv(&[
+            "run",
+            "wc",
+            path.to_str().unwrap(),
+            "--engine",
+            "disk",
+            "--store",
+            store,
+        ]));
+        assert!(matches!(err, Err(CliError::Usage(_))), "{err:?}");
+        assert!(precious.join("MANIFEST").is_file());
         run(&precious).unwrap();
         let _ = std::fs::remove_dir_all(&precious);
         // A store path that is a file is refused.

@@ -209,6 +209,16 @@ impl RunStats {
     }
 }
 
+/// The statistics of a one-superstep run, timed by that superstep.
+impl From<IterationStats> for RunStats {
+    fn from(it: IterationStats) -> Self {
+        Self {
+            total_ns: it.total_ns(),
+            iterations: vec![it],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

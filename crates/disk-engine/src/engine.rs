@@ -486,22 +486,11 @@ impl<P: EdgeProgram> DiskEngine<P> {
         )
     }
 
-    /// Builds an engine by streaming an on-disk edge file (the paper's
-    /// input path: pre-processing reads the unordered list once and
-    /// shuffles it into partition files — no sort). Shorthand for
-    /// [`Self::from_ingest`] with [`MirrorMode::None`].
-    pub fn from_edge_file(
-        store: StreamStore,
-        path: &Path,
-        program: &P,
-        config: EngineConfig,
-    ) -> Result<Self> {
-        Self::from_ingest(store, &EdgeIngest::new(path), program, config)
-    }
-
-    /// Builds an engine by streaming the edge file named by `ingest`,
-    /// applying its [`MirrorMode`] to each loaded chunk before
-    /// partition routing. The graph is never materialized: ingest
+    /// Builds an engine by streaming the edge file named by `ingest`
+    /// (the paper's input path: pre-processing reads the unordered list
+    /// once and shuffles it into partition files — no sort), applying
+    /// its [`MirrorMode`] to each loaded chunk before partition
+    /// routing. The graph is never materialized: ingest
     /// holds one (pooled) chunk buffer, the shuffle arena, the
     /// writer's recycled spill buffers and the vertex state — memory
     /// bounded by O(io_unit × threads) + vertex state, independent of
@@ -2391,7 +2380,9 @@ mod tests {
         let g = generators::erdos_renyi(100, 900, 5).to_undirected();
         xstream_graph::fileio::write_edge_file(&path, &g).unwrap();
         let store = temp_store("fromfile");
-        let mut disk = DiskEngine::from_edge_file(store, &path, &MinLabel, small_config()).unwrap();
+        let mut disk =
+            DiskEngine::from_ingest(store, &EdgeIngest::new(&path), &MinLabel, small_config())
+                .unwrap();
         assert_eq!(disk.num_edges(), g.num_edges());
         disk.run(&MinLabel, Termination::Converged);
         let mut mem = xstream_memory::InMemoryEngine::from_graph(
@@ -2452,7 +2443,7 @@ mod tests {
         bytes.extend_from_slice(records_as_bytes(&[Edge::new(0, 9)]));
         std::fs::write(&path, &bytes).unwrap();
         let store = temp_store("oob");
-        let r = DiskEngine::from_edge_file(store, &path, &MinLabel, small_config());
+        let r = DiskEngine::from_ingest(store, &EdgeIngest::new(&path), &MinLabel, small_config());
         assert!(matches!(r, Err(Error::InvalidInput(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }

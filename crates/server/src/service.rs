@@ -15,15 +15,14 @@
 //! touching the other families' cache entries.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xstream_algorithms::multi::{run_multi_bfs, run_multi_sssp, MultiBfs, MultiSssp, UNREACHED};
-use xstream_algorithms::{pagerank, wcc};
-use xstream_core::{EngineConfig, RunStats};
-use xstream_disk::{DiskEngine, EdgeIngest};
+use xstream_algorithms::pagerank::{self, Pagerank};
+use xstream_algorithms::table::{self, Answer, DiskSource, EngineSource, MemorySource, Params};
+use xstream_core::{EdgeProgram, EngineConfig, RunStats};
 use xstream_graph::fileio::EdgeFileReader;
-use xstream_graph::EdgeList;
-use xstream_memory::InMemoryEngine;
+use xstream_graph::{EdgeList, MirrorMode};
 use xstream_storage::manifest::{Manifest, MANIFEST_NAME};
 use xstream_storage::StreamStore;
 
@@ -34,37 +33,12 @@ pub const LANES: usize = 4;
 /// Per-family sub-store directory names under the serve store root.
 pub const FAMILY_DIRS: [&str; 4] = ["bfs", "sssp", "pagerank", "wcc"];
 
-type MemBfs = InMemoryEngine<MultiBfs<LANES>>;
-type MemSssp = InMemoryEngine<MultiSssp<LANES>>;
-type MemPr = InMemoryEngine<pagerank::Pagerank>;
-type DiskBfs = DiskEngine<MultiBfs<LANES>>;
-type DiskSssp = DiskEngine<MultiSssp<LANES>>;
-type DiskPr = DiskEngine<pagerank::Pagerank>;
-
-// One Backend exists per process, owned by the executor thread for the
-// server's whole lifetime — the size skew between variants never costs
-// a copy.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Memory {
-        graph: EdgeList,
-        bfs: Option<MemBfs>,
-        sssp: Option<MemSssp>,
-        pagerank: Option<(MemPr, Vec<u32>)>,
-    },
-    Disk {
-        input: PathBuf,
-        root: PathBuf,
-        bfs: Option<DiskBfs>,
-        sssp: Option<DiskSssp>,
-        pagerank: Option<(DiskPr, Vec<u32>)>,
-    },
-}
-
 /// The query-execution half of `xstream serve`.
 pub struct GraphService {
-    backend: Backend,
-    cfg: EngineConfig,
+    families: Box<dyn Families + Send>,
+    /// Disk backend: the serve store root holding one sub-store (and
+    /// manifest) per family. `None` for the memory backend.
+    store_root: Option<PathBuf>,
     num_vertices: usize,
     num_edges: usize,
     /// Default PageRank iteration count (`--iterations`).
@@ -74,18 +48,16 @@ pub struct GraphService {
 }
 
 impl GraphService {
-    /// Serves an already-loaded in-memory graph. Its generation is
-    /// fixed at 0 (no manifest exists to bump).
+    /// Serves an already-loaded in-memory graph. Every family engine is
+    /// built from this one graph; its generation is fixed at 0 (no
+    /// manifest exists to bump).
     pub fn open_memory(graph: EdgeList, cfg: EngineConfig, iterations: usize) -> Self {
         let (num_vertices, num_edges) = (graph.num_vertices(), graph.num_edges());
+        let graph = Arc::new(graph);
+        let open = move |_: &str| Ok(MemorySource::new(Arc::clone(&graph), cfg.clone()));
         Self {
-            backend: Backend::Memory {
-                graph,
-                bfs: None,
-                sssp: None,
-                pagerank: None,
-            },
-            cfg,
+            families: Box::new(Engines::new(open)),
+            store_root: None,
             num_vertices,
             num_edges,
             iterations,
@@ -103,17 +75,17 @@ impl GraphService {
     ) -> Result<Self, String> {
         let reader =
             EdgeFileReader::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
+        let (input, root) = (input.to_path_buf(), store_root.to_path_buf());
+        let open = move |family: &str| {
+            let store = StreamStore::new(&root.join(family), cfg.io_unit)
+                .map_err(|e| format!("opening {family} store: {e}"))?;
+            Ok(DiskSource::new(&input, store, cfg.clone()))
+        };
         Ok(Self {
-            backend: Backend::Disk {
-                input: input.to_path_buf(),
-                root: store_root.to_path_buf(),
-                bfs: None,
-                sssp: None,
-                pagerank: None,
-            },
+            families: Box::new(Engines::new(open)),
+            store_root: Some(store_root.to_path_buf()),
             num_vertices: reader.num_vertices(),
             num_edges: reader.num_edges(),
-            cfg,
             iterations,
             wcc: None,
         })
@@ -137,10 +109,9 @@ impl GraphService {
     /// must not invalidate every other family's cached answers. The
     /// memory backend has no manifests and stays at generation 0.
     pub fn generation_of(&self, family: &str) -> u64 {
-        match &self.backend {
-            Backend::Memory { .. } => 0,
-            Backend::Disk { root, .. } => read_generation(&root.join(family)),
-        }
+        self.store_root
+            .as_ref()
+            .map_or(0, |root| read_generation(&root.join(family)))
     }
 
     /// Rejects out-of-range roots before they reach a batch (the
@@ -156,99 +127,32 @@ impl GraphService {
         }
     }
 
-    fn sub_store(root: &Path, family: &str, cfg: &EngineConfig) -> Result<StreamStore, String> {
-        StreamStore::new(&root.join(family), cfg.io_unit)
-            .map_err(|e| format!("opening {family} store: {e}"))
+    /// Validates up to [`LANES`] roots and pads the unused lanes with
+    /// the first root: they recompute lane 0 for free (no extra active
+    /// partitions) and are discarded.
+    fn lanes(&self, roots: &[u32]) -> Result<[u32; LANES], String> {
+        assert!(!roots.is_empty() && roots.len() <= LANES);
+        for &r in roots {
+            self.validate_vertex(r)?;
+        }
+        let mut lanes = [roots[0]; LANES];
+        lanes[..roots.len()].copy_from_slice(roots);
+        Ok(lanes)
     }
 
     /// Runs one batched BFS pass over up to [`LANES`] distinct roots;
     /// returns lane-major level vectors (one per root, in order) and
     /// the pass statistics.
     pub fn run_bfs_batch(&mut self, roots: &[u32]) -> Result<(Vec<Vec<u32>>, RunStats), String> {
-        assert!(!roots.is_empty() && roots.len() <= LANES);
-        for &r in roots {
-            self.validate_vertex(r)?;
-        }
-        // Pad unused lanes with the first root: they recompute lane 0
-        // for free (no extra active partitions) and are discarded.
-        let mut lanes = [roots[0]; LANES];
-        lanes[..roots.len()].copy_from_slice(roots);
-        let program = MultiBfs::<LANES>::new();
-        let states = match &mut self.backend {
-            Backend::Memory { graph, bfs, .. } => {
-                let engine = ensure_engine(bfs, || {
-                    InMemoryEngine::from_graph(graph, &program, self.cfg.clone())
-                });
-                run_multi_bfs(engine, &program, &lanes)
-            }
-            Backend::Disk {
-                input, root, bfs, ..
-            } => {
-                let engine = match bfs {
-                    Some(e) => e,
-                    None => {
-                        let store = Self::sub_store(root, "bfs", &self.cfg)?;
-                        let e = DiskEngine::from_ingest(
-                            store,
-                            &EdgeIngest::new(&*input),
-                            &program,
-                            self.cfg.clone(),
-                        )
-                        .map_err(|e| format!("bfs ingest: {e}"))?;
-                        bfs.insert(e)
-                    }
-                };
-                run_multi_bfs(engine, &program, &lanes)
-            }
-        };
-        let (states, stats) = states;
-        let levels = (0..roots.len())
-            .map(|lane| states.iter().map(|s| s[lane]).collect())
-            .collect();
-        Ok((levels, stats))
+        let (states, stats) = self.families.bfs(&self.lanes(roots)?)?;
+        Ok((lane_major(&states, roots.len()), stats))
     }
 
     /// Runs one batched SSSP pass over up to [`LANES`] distinct roots;
     /// returns lane-major distance vectors and the pass statistics.
     pub fn run_sssp_batch(&mut self, roots: &[u32]) -> Result<(Vec<Vec<f32>>, RunStats), String> {
-        assert!(!roots.is_empty() && roots.len() <= LANES);
-        for &r in roots {
-            self.validate_vertex(r)?;
-        }
-        let mut lanes = [roots[0]; LANES];
-        lanes[..roots.len()].copy_from_slice(roots);
-        let program = MultiSssp::<LANES>::new();
-        let (dists, stats) = match &mut self.backend {
-            Backend::Memory { graph, sssp, .. } => {
-                let engine = ensure_engine(sssp, || {
-                    InMemoryEngine::from_graph(graph, &program, self.cfg.clone())
-                });
-                run_multi_sssp(engine, &program, &lanes)
-            }
-            Backend::Disk {
-                input, root, sssp, ..
-            } => {
-                let engine = match sssp {
-                    Some(e) => e,
-                    None => {
-                        let store = Self::sub_store(root, "sssp", &self.cfg)?;
-                        let e = DiskEngine::from_ingest(
-                            store,
-                            &EdgeIngest::new(&*input),
-                            &program,
-                            self.cfg.clone(),
-                        )
-                        .map_err(|e| format!("sssp ingest: {e}"))?;
-                        sssp.insert(e)
-                    }
-                };
-                run_multi_sssp(engine, &program, &lanes)
-            }
-        };
-        let out = (0..roots.len())
-            .map(|lane| dists.iter().map(|s| s[lane]).collect())
-            .collect();
-        Ok((out, stats))
+        let (states, stats) = self.families.sssp(&self.lanes(roots)?)?;
+        Ok((lane_major(&states, roots.len()), stats))
     }
 
     /// Runs PageRank for `iterations` supersteps (0 = server default);
@@ -259,56 +163,7 @@ impl GraphService {
         } else {
             iterations
         };
-        let program = pagerank::Pagerank;
-        match &mut self.backend {
-            Backend::Memory {
-                graph,
-                pagerank: pr,
-                ..
-            } => {
-                let (engine, degrees) = match pr {
-                    Some(pair) => pair,
-                    None => {
-                        let degrees = graph.out_degrees();
-                        let engine = InMemoryEngine::from_graph(graph, &program, self.cfg.clone());
-                        pr.insert((engine, degrees))
-                    }
-                };
-                Ok(pagerank::run(engine, &program, degrees, iterations))
-            }
-            Backend::Disk {
-                input,
-                root,
-                pagerank: pr,
-                ..
-            } => {
-                let (engine, degrees) = match pr {
-                    Some(pair) => pair,
-                    None => {
-                        let store = Self::sub_store(root, "pagerank", &self.cfg)?;
-                        // Degrees fold into the ingest pass, as in the
-                        // one-shot CLI path.
-                        let counts = Arc::new(Mutex::new(vec![0u32; self.num_vertices]));
-                        let ingest = {
-                            let counts = Arc::clone(&counts);
-                            EdgeIngest::new(&*input).with_observer(move |chunk| {
-                                let mut d = counts.lock().expect("degree counter poisoned");
-                                for e in chunk {
-                                    d[e.src as usize] += 1;
-                                }
-                            })
-                        };
-                        let engine =
-                            DiskEngine::from_ingest(store, &ingest, &program, self.cfg.clone())
-                                .map_err(|e| format!("pagerank ingest: {e}"))?;
-                        let degrees =
-                            std::mem::take(&mut *counts.lock().expect("degree counter poisoned"));
-                        pr.insert((engine, degrees))
-                    }
-                };
-                Ok(pagerank::run(engine, &program, degrees, iterations))
-            }
-        }
+        self.families.pagerank(iterations)
     }
 
     /// Weakly-connected-component labels, computed once per graph
@@ -321,28 +176,7 @@ impl GraphService {
                 return Ok((Arc::clone(labels), None));
             }
         }
-        let program = wcc::Wcc::new();
-        let (labels, stats) = match &mut self.backend {
-            Backend::Memory { graph, .. } => {
-                // Transient engine: labels are immutable per
-                // generation, so the doubled edge copy is dropped
-                // right after the run.
-                let und = graph.to_undirected();
-                let mut engine = InMemoryEngine::from_graph(&und, &program, self.cfg.clone());
-                wcc::run(&mut engine, &program)
-            }
-            Backend::Disk { input, root, .. } => {
-                let store = Self::sub_store(root, "wcc", &self.cfg)?;
-                let mut engine = DiskEngine::from_ingest(
-                    store,
-                    &EdgeIngest::undirected(&*input),
-                    &program,
-                    self.cfg.clone(),
-                )
-                .map_err(|e| format!("wcc ingest: {e}"))?;
-                wcc::run(&mut engine, &program)
-            }
-        };
+        let (labels, stats) = self.families.wcc()?;
         let labels = Arc::new(labels);
         // Stamp the cached labels with the generation observed *after*
         // the run: on the disk backend every WCC run ingests the wcc
@@ -354,11 +188,97 @@ impl GraphService {
     }
 }
 
-fn ensure_engine<E>(slot: &mut Option<E>, build: impl FnOnce() -> E) -> &mut E {
-    if slot.is_none() {
-        *slot = Some(build());
+/// Splits per-vertex lane arrays into one vector per used lane.
+fn lane_major<T: Copy>(states: &[[T; LANES]], used: usize) -> Vec<Vec<T>> {
+    (0..used)
+        .map(|lane| states.iter().map(|s| s[lane]).collect())
+        .collect()
+}
+
+/// The query families of one backend, so that a single
+/// [`GraphService`] type serves either engine.
+trait Families {
+    fn bfs(&mut self, lanes: &[u32; LANES]) -> Result<(Vec<[u32; LANES]>, RunStats), String>;
+    fn sssp(&mut self, lanes: &[u32; LANES]) -> Result<(Vec<[f32; LANES]>, RunStats), String>;
+    fn pagerank(&mut self, iterations: usize) -> Result<(Vec<f32>, RunStats), String>;
+    fn wcc(&mut self) -> Result<(Vec<u32>, RunStats), String>;
+}
+
+/// Opens the engine source a family builds from, given its
+/// [`FAMILY_DIRS`] name.
+type Open<S> = Box<dyn Fn(&str) -> Result<S, String> + Send>;
+
+/// The family engines over one kind of [`EngineSource`], written once
+/// for both engines. WCC labels are immutable per generation, so its
+/// engine (and, in memory, its undirected edge copy) is transient.
+struct Engines<S: EngineSource> {
+    open: Open<S>,
+    bfs: Option<S::Engine<MultiBfs<LANES>>>,
+    sssp: Option<S::Engine<MultiSssp<LANES>>>,
+    pagerank: Option<(S::Engine<Pagerank>, Vec<u32>)>,
+}
+
+impl<S: EngineSource> Engines<S> {
+    fn new(open: impl Fn(&str) -> Result<S, String> + Send + 'static) -> Self {
+        Self {
+            open: Box::new(open),
+            bfs: None,
+            sssp: None,
+            pagerank: None,
+        }
     }
-    slot.as_mut().expect("just filled")
+}
+
+/// Builds `family`'s engine over the directed graph, with out-degrees
+/// when `degrees` is set.
+fn build<S: EngineSource, P: EdgeProgram>(
+    open: &Open<S>,
+    family: &str,
+    program: &P,
+    degrees: bool,
+) -> Result<(S::Engine<P>, Vec<u32>), String> {
+    open(family)?
+        .build(MirrorMode::None, degrees, program)
+        .map_err(|e| format!("{family} ingest: {e}"))
+}
+
+impl<S: EngineSource> Families for Engines<S> {
+    fn bfs(&mut self, lanes: &[u32; LANES]) -> Result<(Vec<[u32; LANES]>, RunStats), String> {
+        let program = MultiBfs::<LANES>::new();
+        let engine = match &mut self.bfs {
+            Some(e) => e,
+            slot => slot.insert(build(&self.open, "bfs", &program, false)?.0),
+        };
+        Ok(run_multi_bfs(engine, &program, lanes))
+    }
+
+    fn sssp(&mut self, lanes: &[u32; LANES]) -> Result<(Vec<[f32; LANES]>, RunStats), String> {
+        let program = MultiSssp::<LANES>::new();
+        let engine = match &mut self.sssp {
+            Some(e) => e,
+            slot => slot.insert(build(&self.open, "sssp", &program, false)?.0),
+        };
+        Ok(run_multi_sssp(engine, &program, lanes))
+    }
+
+    fn pagerank(&mut self, iterations: usize) -> Result<(Vec<f32>, RunStats), String> {
+        let (engine, degrees) = match &mut self.pagerank {
+            Some(pair) => pair,
+            slot => slot.insert(build(&self.open, "pagerank", &Pagerank, true)?),
+        };
+        Ok(pagerank::run(engine, &Pagerank, degrees, iterations))
+    }
+
+    fn wcc(&mut self) -> Result<(Vec<u32>, RunStats), String> {
+        let row = table::find::<S>("wcc").expect("wcc is a table row");
+        let (answer, stats) = row
+            .run(&mut (self.open)("wcc")?, &Params::default())
+            .map_err(|e| format!("wcc ingest: {e}"))?;
+        match answer {
+            Answer::Components(labels) => Ok((labels, stats)),
+            other => unreachable!("the wcc row answered {other:?}"),
+        }
+    }
 }
 
 fn read_generation(dir: &Path) -> u64 {

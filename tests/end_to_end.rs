@@ -8,7 +8,7 @@ use xstream::algorithms::{als, bfs, hyperanf, wcc};
 use xstream::baselines::graphchi::{apps, GraphChiEngine};
 use xstream::baselines::{hybrid, ligra, localqueue};
 use xstream::core::EngineConfig;
-use xstream::disk::DiskEngine;
+use xstream::disk::{DiskEngine, EdgeIngest};
 use xstream::graph::datasets::{by_name, DATASETS};
 use xstream::graph::fileio::{read_edge_file, write_edge_file};
 use xstream::graph::generators::{bipartite_split, preferential_attachment};
@@ -137,8 +137,8 @@ fn edge_file_roundtrip_feeds_disk_engine() {
     let cfg = EngineConfig::default()
         .with_memory_budget(1 << 20)
         .with_io_unit(1 << 14);
-    let mut engine =
-        DiskEngine::from_edge_file(temp_store("file"), &path, &p, cfg).expect("engine");
+    let mut engine = DiskEngine::from_ingest(temp_store("file"), &EdgeIngest::new(&path), &p, cfg)
+        .expect("engine");
     let (from_file, _) = wcc::run(&mut engine, &p);
     let (from_mem, _) = wcc::wcc_in_memory(&g, EngineConfig::default());
     assert_eq!(from_file, from_mem);

@@ -12,7 +12,7 @@
 //!   superstep loop must return to its zero-allocation steady state.
 
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use xstream::algorithms::wcc;
@@ -22,6 +22,12 @@ use xstream::graph::fileio::{read_edge_file, write_edge_file, MAGIC};
 use xstream::graph::{generators, EdgeList};
 use xstream::storage::{FaultKind, FaultOp, FaultPlan, FaultSpec, StreamStore};
 
+/// The allocation counters are process-wide, so the steady-state
+/// allocation test runs alone: it holds this lock exclusively while
+/// every other test in the binary holds it shared. (A poisoned lock
+/// still holds its guard, so one failing test does not fail the rest.)
+static QUIET: RwLock<()> = RwLock::new(());
+
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("xstream_failure_tests");
     std::fs::create_dir_all(&dir).expect("dir");
@@ -30,6 +36,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn corrupt_magic_is_rejected() {
+    let _quiet = QUIET.read();
     let path = tmp("bad_magic.edges");
     let mut f = std::fs::File::create(&path).unwrap();
     f.write_all(b"NOTMAGIC").unwrap();
@@ -43,6 +50,7 @@ fn corrupt_magic_is_rejected() {
 
 #[test]
 fn short_file_is_rejected() {
+    let _quiet = QUIET.read();
     let path = tmp("short.edges");
     std::fs::write(&path, MAGIC).unwrap();
     match read_edge_file(&path) {
@@ -53,6 +61,7 @@ fn short_file_is_rejected() {
 
 #[test]
 fn truncated_payload_is_detected() {
+    let _quiet = QUIET.read();
     let g = generators::erdos_renyi(100, 500, 1);
     let path = tmp("trunc.edges");
     write_edge_file(&path, &g).unwrap();
@@ -69,6 +78,7 @@ fn truncated_payload_is_detected() {
 
 #[test]
 fn missing_edge_file_is_an_io_error() {
+    let _quiet = QUIET.read();
     let path = tmp("does_not_exist.edges");
     let _ = std::fs::remove_file(&path);
     assert!(matches!(read_edge_file(&path), Err(Error::Io(_))));
@@ -76,6 +86,7 @@ fn missing_edge_file_is_an_io_error() {
 
 #[test]
 fn infeasible_memory_budget_is_a_config_error() {
+    let _quiet = QUIET.read();
     let g = generators::erdos_renyi(10_000, 40_000, 2).to_undirected();
     let store_dir = tmp("infeasible_store");
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -95,6 +106,7 @@ fn infeasible_memory_budget_is_a_config_error() {
 
 #[test]
 fn store_rooted_at_a_file_fails() {
+    let _quiet = QUIET.read();
     let file_path = tmp("iam_a_file");
     std::fs::write(&file_path, b"occupied").unwrap();
     assert!(StreamStore::new(&file_path, 4096).is_err());
@@ -102,6 +114,7 @@ fn store_rooted_at_a_file_fails() {
 
 #[test]
 fn missing_streams_spring_into_existence_empty() {
+    let _quiet = QUIET.read();
     // Streams are append-only and lazily created: reading one that was
     // never written is not an error, it is the empty stream — the
     // semantics the disk engine relies on for partitions that received
@@ -117,6 +130,7 @@ fn missing_streams_spring_into_existence_empty() {
 
 #[test]
 fn edge_list_validation_catches_out_of_range_endpoints() {
+    let _quiet = QUIET.read();
     use xstream::core::Edge;
     use xstream::graph::EdgeList;
     let bad = EdgeList::from_parts_unchecked(4, vec![Edge::new(0, 9)]);
@@ -127,6 +141,7 @@ fn edge_list_validation_catches_out_of_range_endpoints() {
 
 #[test]
 fn zero_vertex_graph_is_handled() {
+    let _quiet = QUIET.read();
     use xstream::graph::EdgeList;
     let empty = EdgeList::empty(0);
     let labels = xstream::streams::semi::connected_components(&empty).unwrap();
@@ -135,6 +150,7 @@ fn zero_vertex_graph_is_handled() {
 
 #[test]
 fn single_vertex_self_loop_graph_converges() {
+    let _quiet = QUIET.read();
     use xstream::core::Edge;
     let g = EdgeList::from_parts_unchecked(1, vec![Edge::new(0, 0)]);
     let (labels, stats) = wcc::wcc_in_memory(&g, EngineConfig::default());
@@ -183,9 +199,11 @@ fn transient(prefix: &str, op: FaultOp, nth: u64) -> FaultSpec {
 }
 
 /// Uninterrupted WCC labels on a fault-free store — the differential
-/// baseline every injected run must reproduce exactly.
-fn baseline_labels(g: &EdgeList) -> Vec<u32> {
-    let dir = tmp("faults_baseline");
+/// baseline every injected run must reproduce exactly. `tag` names the
+/// caller's own store directory: tests run in parallel, and a shared
+/// directory would be wiped under a concurrent run still streaming it.
+fn baseline_labels(g: &EdgeList, tag: &str) -> Vec<u32> {
+    let dir = tmp(&format!("faults_baseline_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     let store = StreamStore::new(&dir, 8192).expect("store");
     let p = wcc::Wcc::new();
@@ -196,8 +214,9 @@ fn baseline_labels(g: &EdgeList) -> Vec<u32> {
 
 #[test]
 fn transient_faults_at_every_stage_are_retried_to_the_same_result() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
-    let expected = baseline_labels(&g);
+    let expected = baseline_labels(&g, "stages");
     // One matrix row per superstep stage: the edge-file read feeding
     // scatter, the update-file append behind the spill, and the
     // update-file read feeding gather. A short read rides along to
@@ -254,6 +273,7 @@ fn transient_faults_at_every_stage_are_retried_to_the_same_result() {
 
 #[test]
 fn transient_fault_on_a_sparse_ranged_read_is_retried() {
+    let _quiet = QUIET.read();
     // Frontier-tracked BFS with the hybrid divisor forced to 0: every
     // non-empty partition scatters through pooled ranged reads of the
     // sparse index path, so an "edges." read fault lands inside
@@ -308,8 +328,9 @@ fn transient_fault_on_a_sparse_ranged_read_is_retried() {
 
 #[test]
 fn enospc_fails_fast_and_leaves_the_engine_consistent() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
-    let expected = baseline_labels(&g);
+    let expected = baseline_labels(&g, "enospc");
     let plan = Arc::new(FaultPlan::new(vec![FaultSpec {
         stream_prefix: "updates.".to_string(),
         op: FaultOp::Write,
@@ -344,6 +365,7 @@ fn enospc_fails_fast_and_leaves_the_engine_consistent() {
 
 #[test]
 fn persistent_transient_faults_exhaust_the_retry_budget() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
     // One streaming partition: after the fault kills the single edge
     // stream there is no other read to burn the second spec early, so
@@ -374,8 +396,9 @@ fn persistent_transient_faults_exhaust_the_retry_budget() {
 
 #[test]
 fn seeded_chaos_run_matches_the_uninterrupted_run() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
-    let expected = baseline_labels(&g);
+    let expected = baseline_labels(&g, "chaos");
     // A pseudo-random barrage of transient faults across ops and
     // stream families, deterministic for the seed. Every spec fires at
     // most once, so a budget of n+1 attempts can never be exhausted.
@@ -401,6 +424,7 @@ fn seeded_chaos_run_matches_the_uninterrupted_run() {
 /// silently wrong answer.
 #[test]
 fn bitflips_are_detected_at_every_read_boundary() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
     // (tag, stream family, config) — vertices streams only exist (and
     // are re-read every superstep) when vertex state lives on disk.
@@ -464,6 +488,7 @@ fn bitflips_are_detected_at_every_read_boundary() {
 
 #[test]
 fn index_bitflip_degrades_to_dense_and_matches_the_clean_run() {
+    let _quiet = QUIET.read();
     // The one survivable flip: a rotted sparse-scatter index is
     // derived data, so the partition falls back to dense scatter over
     // its (separately checksummed, intact) edge stream, the manifest
@@ -536,8 +561,9 @@ fn index_bitflip_degrades_to_dense_and_matches_the_clean_run() {
 
 #[test]
 fn checkpoint_bitflip_falls_back_like_a_torn_frame() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
-    let expected = baseline_labels(&g);
+    let expected = baseline_labels(&g, "flip_ckpt");
     let cfg = || spill_config().with_checkpoint_every(1);
     let dir = tmp("faults_flip_ckpt");
     let _ = std::fs::remove_dir_all(&dir);
@@ -583,8 +609,9 @@ fn checkpoint_bitflip_falls_back_like_a_torn_frame() {
 /// of it.
 #[test]
 fn seeded_chaos_with_bitflips_crash_resume_and_scrub_repair() {
+    let _quiet = QUIET.read();
     let g = fault_graph();
-    let expected = baseline_labels(&g);
+    let expected = baseline_labels(&g, "chaos_bitflips");
     let ckpt_cfg = || EngineConfig {
         in_memory_updates: false,
         ..EngineConfig::default()
@@ -686,6 +713,7 @@ fn seeded_chaos_with_bitflips_crash_resume_and_scrub_repair() {
 
 #[test]
 fn steady_state_is_allocation_free_again_after_faults_stop() {
+    let _quiet = QUIET.write();
     let g = fault_graph();
     let plan = Arc::new(FaultPlan::new(vec![transient("edges.", FaultOp::Read, 2)]));
     let store = fault_store("allocfree", &plan);
